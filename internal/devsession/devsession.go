@@ -37,6 +37,7 @@ import (
 
 	"webgpu/internal/metrics"
 	"webgpu/internal/minicuda"
+	"webgpu/internal/overload"
 	"webgpu/internal/progcache"
 	"webgpu/internal/trace"
 )
@@ -165,7 +166,7 @@ type Manager struct {
 	mu       sync.Mutex
 	sessions map[string]*Session
 	perUser  map[string]int
-	buckets  map[string]*bucket // per-user draft budgets
+	buckets  map[string]*overload.Bucket // per-user draft budgets
 	closed   bool
 }
 
@@ -175,7 +176,7 @@ func NewManager(cfg Config) *Manager {
 		cfg:      cfg.withDefaults(),
 		sessions: map[string]*Session{},
 		perUser:  map[string]int{},
-		buckets:  map[string]*bucket{},
+		buckets:  map[string]*overload.Bucket{},
 	}
 	// Register the series at zero so dashboards scraping a fresh server
 	// see the whole devsession_* set, not counters popping in on first use.
@@ -310,10 +311,10 @@ func (m *Manager) allowUser(userID string, now time.Time) bool {
 	defer m.mu.Unlock()
 	b := m.buckets[userID]
 	if b == nil {
-		b = newBucket(m.cfg.DraftBurst, m.cfg.DraftInterval, now)
+		b = overload.NewBucket(m.cfg.DraftBurst, m.cfg.DraftInterval, now)
 		m.buckets[userID] = b
 	}
-	return b.allow(now)
+	return b.Allow(now)
 }
 
 // shedDraft reports whether draft analyses are currently shed: system
@@ -324,36 +325,6 @@ func (m *Manager) shedDraft() bool {
 }
 
 func (m *Manager) now() time.Time { return m.cfg.Clock() }
-
-// bucket is a deterministic token bucket driven by the manager's clock.
-type bucket struct {
-	tokens   float64
-	burst    float64
-	interval time.Duration // time to refill one token
-	last     time.Time
-}
-
-func newBucket(burst int, interval time.Duration, now time.Time) *bucket {
-	return &bucket{tokens: float64(burst), burst: float64(burst), interval: interval, last: now}
-}
-
-func (b *bucket) allow(now time.Time) bool {
-	if b.interval <= 0 {
-		return true
-	}
-	if dt := now.Sub(b.last); dt > 0 {
-		b.tokens += float64(dt) / float64(b.interval)
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-	}
-	b.last = now
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
 
 func newSessionID() string {
 	buf := make([]byte, 8)

@@ -8,6 +8,7 @@ import (
 
 	"webgpu/internal/kernelcheck"
 	"webgpu/internal/minicuda"
+	"webgpu/internal/overload"
 	"webgpu/internal/progcache"
 )
 
@@ -87,7 +88,7 @@ type Session struct {
 	latest         *draft // pending draft, replaced latest-wins
 	inflightCancel context.CancelFunc
 	lastActive     time.Time
-	bucket         *bucket
+	bucket         *overload.Bucket
 }
 
 func newSession(m *Manager, id, userID, labID string, dialect minicuda.Dialect, now time.Time) *Session {
@@ -101,7 +102,7 @@ func newSession(m *Manager, id, userID, labID string, dialect minicuda.Dialect, 
 		inc:        kernelcheck.NewIncremental(),
 		subs:       map[int]chan Event{},
 		lastActive: now,
-		bucket:     newBucket(m.cfg.DraftBurst, m.cfg.DraftInterval, now),
+		bucket:     overload.NewBucket(m.cfg.DraftBurst, m.cfg.DraftInterval, now),
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	return s
@@ -129,7 +130,7 @@ func (s *Session) PushDraft(source string) (seq int64, coalesced bool, err error
 		s.mu.Unlock()
 		return 0, false, ErrClosed
 	}
-	if !s.bucket.allow(now) {
+	if !s.bucket.Allow(now) {
 		s.mu.Unlock()
 		s.m.cfg.Metrics.Inc("devsession_rate_limited", 1)
 		return 0, false, ErrRateLimited

@@ -122,10 +122,13 @@ func newBlockCtx(dev *Device, blockIdx Dim3, cfg LaunchConfig, shared int, abort
 }
 
 // barrier implements __syncthreads. All live threads of the block must
-// arrive before any proceeds. If a thread exits while others wait the
-// simulator releases the waiters but flags barrier divergence, which the
-// launch reports as an error: this is the class of bug (divergent
-// __syncthreads) the course's tiled labs teach students to avoid.
+// arrive before any proceeds. A barrier generation that completes with
+// fewer arrivals than the block's launched thread count is barrier
+// divergence, which every thread released by it and the launch report as
+// an error: this is the class of bug (divergent __syncthreads) the
+// course's tiled labs teach students to avoid. Counting against the
+// launched threads, not the live ones, makes the verdict independent of
+// whether the missing threads exited before or after the others arrived.
 func (bc *blockCtx) barrier() error {
 	if bc.serial {
 		return fmt.Errorf("%w: SyncThreads called in a launch declared NoBarriers",
@@ -138,10 +141,11 @@ func (bc *blockCtx) barrier() error {
 	gen := bc.generation
 	bc.arrived++
 	if bc.arrived == bc.participants {
-		bc.arrived = 0
-		bc.generation++
-		bc.cond.Broadcast()
+		diverged := bc.release()
 		bc.mu.Unlock()
+		if diverged {
+			return ErrBarrierDivergence
+		}
 		return nil
 	}
 	for gen == bc.generation && !bc.aborted.Load() {
@@ -168,17 +172,24 @@ func (bc *blockCtx) threadExit() {
 	}
 	bc.mu.Lock()
 	bc.participants--
-	if bc.arrived > 0 {
-		// Some threads are blocked at a barrier this thread will never
-		// reach: divergence.
-		bc.divergence = true
-		if bc.arrived == bc.participants {
-			bc.arrived = 0
-			bc.generation++
-			bc.cond.Broadcast()
-		}
+	if bc.arrived > 0 && bc.arrived == bc.participants {
+		// The threads blocked at the barrier wait on no one else.
+		bc.release()
 	}
 	bc.mu.Unlock()
+}
+
+// release completes the current barrier generation and wakes its waiters.
+// It flags divergence when fewer threads arrived than the block launched,
+// and reports whether it did. bc.mu must be held.
+func (bc *blockCtx) release() bool {
+	if bc.participants < bc.cfg.Block.Count() {
+		bc.divergence = true
+	}
+	bc.arrived = 0
+	bc.generation++
+	bc.cond.Broadcast()
+	return bc.divergence
 }
 
 func (bc *blockCtx) abortWake() {

@@ -3,6 +3,7 @@ package gpusim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -180,6 +181,27 @@ func TestBarrierDivergenceDetected(t *testing.T) {
 	})
 	if !errors.Is(err, ErrBarrierDivergence) {
 		t.Errorf("err = %v, want ErrBarrierDivergence", err)
+	}
+
+	// The verdict must not depend on scheduling: a lone thread reaching
+	// the barrier after every other thread has already exited completes
+	// the generation by itself, and that is still divergence.
+	_, err = d.Launch("exit-first", cfg, func(tc *ThreadCtx) error {
+		if tc.ThreadIdx.X != 0 {
+			return nil
+		}
+		for {
+			tc.block.mu.Lock()
+			alone := tc.block.participants == 1
+			tc.block.mu.Unlock()
+			if alone {
+				return tc.SyncThreads()
+			}
+			runtime.Gosched()
+		}
+	})
+	if !errors.Is(err, ErrBarrierDivergence) {
+		t.Errorf("exit-first: err = %v, want ErrBarrierDivergence", err)
 	}
 }
 

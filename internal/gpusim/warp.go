@@ -73,8 +73,9 @@ func (wc *WarpCtx) exitRemaining() {
 }
 
 // warpArrive is barrier()'s arrival half for n lockstep lanes: it never
-// blocks, and like the per-thread barrier the arrival that completes the
-// set releases everyone without a divergence check.
+// blocks, and like the per-thread barrier the arrival that completes a
+// generation short of the block's launched thread count reports
+// divergence.
 func (bc *blockCtx) warpArrive(n int) (gen int, released bool, err error) {
 	if bc.serial {
 		return 0, false, fmt.Errorf("%w: SyncThreads called in a launch declared NoBarriers",
@@ -87,10 +88,11 @@ func (bc *blockCtx) warpArrive(n int) (gen int, released bool, err error) {
 	gen = bc.generation
 	bc.arrived += n
 	if bc.arrived == bc.participants {
-		bc.arrived = 0
-		bc.generation++
-		bc.cond.Broadcast()
+		diverged := bc.release()
 		bc.mu.Unlock()
+		if diverged {
+			return gen, true, ErrBarrierDivergence
+		}
 		return gen, true, nil
 	}
 	bc.mu.Unlock()
@@ -147,13 +149,8 @@ func (bc *blockCtx) threadExitN(n int) {
 	}
 	bc.mu.Lock()
 	bc.participants -= n
-	if bc.arrived > 0 {
-		bc.divergence = true
-		if bc.arrived == bc.participants {
-			bc.arrived = 0
-			bc.generation++
-			bc.cond.Broadcast()
-		}
+	if bc.arrived > 0 && bc.arrived == bc.participants {
+		bc.release()
 	}
 	bc.mu.Unlock()
 }

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"webgpu/internal/faultinject"
+	"webgpu/internal/metrics"
 	"webgpu/internal/overload"
 	"webgpu/internal/platform"
 	"webgpu/internal/sandbox"
@@ -285,21 +286,6 @@ func arm(reg *faultinject.Registry, rate float64) {
 	reg.Enable(faultinject.PointNodeExec, faultinject.Fault{Prob: rate * 0.5})
 }
 
-// quantile reads the q-quantile from a sorted millisecond slice.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
 // summarize fills the latency fields from raw per-submit durations.
 func (r *Result) summarize(latencies []time.Duration) {
 	ms := make([]float64, len(latencies))
@@ -307,9 +293,9 @@ func (r *Result) summarize(latencies []time.Duration) {
 		ms[i] = float64(d) / float64(time.Millisecond)
 	}
 	sort.Float64s(ms)
-	r.P50Ms = quantile(ms, 0.50)
-	r.P95Ms = quantile(ms, 0.95)
-	r.P99Ms = quantile(ms, 0.99)
+	r.P50Ms = metrics.Quantile(ms, 0.50)
+	r.P95Ms = metrics.Quantile(ms, 0.95)
+	r.P99Ms = metrics.Quantile(ms, 0.99)
 	if n := len(ms); n > 0 {
 		r.MaxMs = ms[n-1]
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"webgpu/internal/labs"
+	"webgpu/internal/metrics"
 )
 
 // runRestartStorm measures the cold-restart recompile storm end to end:
@@ -215,5 +216,5 @@ func p50ms(latencies []time.Duration) float64 {
 		ms[i] = float64(d) / float64(time.Millisecond)
 	}
 	sort.Float64s(ms)
-	return quantile(ms, 0.50)
+	return metrics.Quantile(ms, 0.50)
 }

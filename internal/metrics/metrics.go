@@ -259,12 +259,22 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	s := append([]float64(nil), h.samples...)
 	sort.Float64s(s)
-	idx := int(math.Ceil(q*float64(len(s)))) - 1
+	return Quantile(s, q)
+}
+
+// Quantile returns the nearest-rank q-quantile (0..1) of an ascending
+// slice: the smallest sample with at least a q share of the samples at or
+// below it. An empty slice reads 0.
+func Quantile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	if idx >= len(s) {
-		idx = len(s) - 1
+	if idx >= len(sorted) {
+		idx = len(sorted) - 1
 	}
-	return s[idx]
+	return sorted[idx]
 }

@@ -296,8 +296,8 @@ func (p *Program) bytecode() *bytecodeProgram {
 }
 
 // warpcode returns the program's fused warp-execution artifact, building
-// it from the bytecode on first use. A nil result means warp launches
-// fall back to the per-thread VM (or the tree walker).
+// it from the bytecode on first use. A nil result means launches fall
+// back to the tree walker.
 func (p *Program) warpcode() *warpProgram {
 	p.wpOnce.Do(func() {
 		if bc := p.bytecode(); bc != nil {
@@ -308,29 +308,16 @@ func (p *Program) warpcode() *warpProgram {
 }
 
 // ArtifactKind reports which executable artifact a default launch of this
-// program uses: "bytecode-warp" for the warp engine, "bytecode" for the
-// per-thread register VM, "ast" for the tree walker.
+// program uses: "bytecode-warp" for the warp engine, "ast" for the tree
+// walker.
 func (p *Program) ArtifactKind() string {
-	switch defaultEngine() {
-	case EngineTree:
-		return "ast"
-	case EngineVM:
-		if p.bytecode() != nil {
-			return "bytecode"
-		}
-		return "ast"
-	default:
-		if p.warpcode() != nil {
-			return "bytecode-warp"
-		}
-		if p.bytecode() != nil {
-			return "bytecode"
-		}
-		return "ast"
+	if defaultEngine() != EngineTree && p.warpcode() != nil {
+		return "bytecode-warp"
 	}
+	return "ast"
 }
 
-// InstructionCount reports the number of VM instructions in the lowered
+// InstructionCount reports the number of instructions in the lowered
 // bytecode, or 0 when the program has no bytecode artifact.
 func (p *Program) InstructionCount() int {
 	if bc := p.bytecode(); bc != nil {

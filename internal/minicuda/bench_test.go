@@ -113,8 +113,10 @@ func BenchmarkInterpretVecAdd4K(b *testing.B) {
 	}
 }
 
-// BenchmarkBytecodeVsTreeMatMul runs the same tiled matrix multiply under
-// the register VM and the tree-walking interpreter, side by side.
+// BenchmarkBytecodeVsTreeMatMul runs the tiled matrix multiply under the
+// tree-walking interpreter; BenchmarkWarpVsVMMatMul/warp is its bytecode
+// counterpart. The sub-benchmark name is kept so results stay comparable
+// across commits.
 func BenchmarkBytecodeVsTreeMatMul(b *testing.B) {
 	prog, err := Compile(benchSrc, DialectCUDA)
 	if err != nil {
@@ -123,7 +125,7 @@ func BenchmarkBytecodeVsTreeMatMul(b *testing.B) {
 	for _, sub := range []struct {
 		name string
 		eng  Engine
-	}{{"vm", EngineVM}, {"tree", EngineTree}} {
+	}{{"tree", EngineTree}} {
 		b.Run(sub.name, func(b *testing.B) {
 			d := gpusim.NewDefaultDevice()
 			n := 32
@@ -144,9 +146,10 @@ func BenchmarkBytecodeVsTreeMatMul(b *testing.B) {
 }
 
 // BenchmarkWarpVsVMMatMul runs the tiled matrix multiply under the
-// warp-vectorized engine and the per-thread register VM, side by side.
-// This is the headline pair for the warp tier: a barrier-heavy,
-// largely-uniform kernel where once-per-warp decode should win big.
+// warp-vectorized engine: a barrier-heavy, largely-uniform kernel where
+// once-per-warp decode should win big. The name predates the removal of
+// the per-thread VM and is kept so results stay comparable across
+// commits.
 func BenchmarkWarpVsVMMatMul(b *testing.B) {
 	prog, err := Compile(benchSrc, DialectCUDA)
 	if err != nil {
@@ -155,7 +158,7 @@ func BenchmarkWarpVsVMMatMul(b *testing.B) {
 	for _, sub := range []struct {
 		name string
 		eng  Engine
-	}{{"warp", EngineWarp}, {"vm", EngineVM}} {
+	}{{"warp", EngineWarp}} {
 		b.Run(sub.name, func(b *testing.B) {
 			d := gpusim.NewDefaultDevice()
 			n := 32
@@ -178,8 +181,8 @@ func BenchmarkWarpVsVMMatMul(b *testing.B) {
 // BenchmarkWarpDivergent stresses the warp engine's worst case: a
 // data-dependent loop (Collatz) where lanes diverge immediately and
 // re-converge rarely, so strands shrink toward single lanes and the
-// once-per-warp decode advantage evaporates. The warp engine should
-// degrade toward VM speed here, not fall meaningfully below it.
+// once-per-warp decode advantage evaporates. Merging strands back must
+// not allocate, or the allocator dominates.
 func BenchmarkWarpDivergent(b *testing.B) {
 	src := `__global__ void collatz(int *out, int n) {
   int i = blockIdx.x * blockDim.x + threadIdx.x;
@@ -199,7 +202,7 @@ func BenchmarkWarpDivergent(b *testing.B) {
 	for _, sub := range []struct {
 		name string
 		eng  Engine
-	}{{"warp", EngineWarp}, {"vm", EngineVM}} {
+	}{{"warp", EngineWarp}} {
 		b.Run(sub.name, func(b *testing.B) {
 			d := gpusim.NewDefaultDevice()
 			n := 4096

@@ -2,9 +2,9 @@ package minicuda
 
 // Bytecode compiler: lowers the type-checked AST into a flat instruction
 // stream over typed virtual registers (an int64 bank, a float64 bank and a
-// Pointer bank). The register VM in vm.go executes the stream with a
-// switch-dispatch loop; the tree-walking interpreter in interp.go remains
-// the semantic oracle. Lowering preserves the oracle's observable behavior
+// Pointer bank). The warp engine in warp.go executes the stream, fused,
+// once per warp; the tree-walking interpreter in interp.go remains the
+// semantic oracle. Lowering preserves the oracle's observable behavior
 // exactly: the same gpusim counter charges in the same order, the same
 // step-budget accounting, and the same runtime trap messages.
 //
@@ -12,7 +12,7 @@ package minicuda
 // tree-walker charges a step for (each eval/execStmt entry, plus the
 // per-iteration loop step) adds one pending step at lower time, and the
 // next emitted instruction consumes all pending steps into its steps
-// field. The VM charges an instruction's steps against the budget before
+// field. The engine charges an instruction's steps against the budget before
 // performing its effect, so the budget trips between the same two
 // observable effects as the tree-walker. Jump targets are always bound
 // with zero pending steps (bind flushes through an opStep no-op placed
@@ -127,7 +127,7 @@ const (
 	bankNone
 )
 
-// instr is one VM instruction.
+// instr is one bytecode instruction.
 type instr struct {
 	op    bcOp
 	kind  uint8  // bank selector (opJZ/opJNZ/opRet/opLoad)

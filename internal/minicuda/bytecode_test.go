@@ -2,6 +2,7 @@ package minicuda
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -31,15 +32,15 @@ func TestBytecodeArtifactMetadata(t *testing.T) {
 	if got, want := prog.BytecodeBytes(), n*int(unsafe.Sizeof(instr{})); got != want {
 		t.Fatalf("BytecodeBytes = %d, want %d", got, want)
 	}
-	if k := prog.ArtifactKind(); k != "bytecode-warp" && k != "bytecode" && k != "ast" {
+	if k := prog.ArtifactKind(); k != "bytecode-warp" && k != "ast" {
 		t.Fatalf("ArtifactKind = %q", k)
 	}
 }
 
-// TestBytecodeNoBarriersMatchesSema: the VM launch path derives NoBarriers
-// from a static scan of the lowered code; it must agree with the semantic
-// pass's answer so the simulator picks the same execution path under both
-// engines.
+// TestBytecodeNoBarriersMatchesSema: the warp launch path derives
+// NoBarriers from a static scan of the lowered code; it must agree with the
+// semantic pass's answer so the simulator picks the same execution path
+// under both engines.
 func TestBytecodeNoBarriersMatchesSema(t *testing.T) {
 	for _, src := range []string{
 		bcTestVecAdd,
@@ -65,8 +66,9 @@ func TestBytecodeNoBarriersMatchesSema(t *testing.T) {
 	}
 }
 
-// TestVMTrapSentinels: the VM must return the interpreter's sentinel errors
-// (not lookalikes) so errors.Is-based handling in the worker keeps working.
+// TestVMTrapSentinels: the bytecode (warp) engine must return the
+// interpreter's sentinel errors (not lookalikes) so errors.Is-based
+// handling in the worker keeps working.
 func TestVMTrapSentinels(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -88,8 +90,8 @@ __global__ void k(int *o, int n) { o[0] = r(n); }`, 0, ErrCallDepth},
 			if prog.bytecode() == nil {
 				t.Fatal("kernel should lower to bytecode")
 			}
-			var msgs [3]string
-			for i, eng := range []Engine{EngineVM, EngineTree, EngineWarp} {
+			var msgs [2]string
+			for i, eng := range []Engine{EngineTree, EngineWarp} {
 				dev := gpusim.NewDefaultDevice()
 				o, _ := dev.Malloc(4)
 				_, lerr := prog.Launch(dev, "k",
@@ -104,24 +106,34 @@ __global__ void k(int *o, int n) { o[0] = r(n); }`, 0, ErrCallDepth},
 				}
 				msgs[i] = lerr.Error()
 			}
-			if msgs[0] != msgs[1] || msgs[0] != msgs[2] {
-				t.Fatalf("trap message divergence:\nvm:   %q\ntree: %q\nwarp: %q",
-					msgs[0], msgs[1], msgs[2])
+			if msgs[0] != msgs[1] {
+				t.Fatalf("trap message divergence:\ntree: %q\nwarp: %q", msgs[0], msgs[1])
 			}
 		})
 	}
 }
 
 // TestEngineOverride: forcing either engine through LaunchOpts must work
-// regardless of the process default and produce the same result.
+// regardless of the process default and produce the same output, stats
+// and error as the tree walker under the same SchedSeed. The seeded case
+// pins the fallback rule — a launch the warp engine cannot serve runs on
+// the tree walker — with a kernel whose last writer per block depends on
+// the serial thread order the seed picks.
 func TestEngineOverride(t *testing.T) {
-	prog, err := Compile(bcTestVecAdd, DialectCUDA)
+	prog, err := Compile(bcTestVecAdd+`
+__global__ void lastWriter(int *out, int *a, int *b, int n) {
+  out[blockIdx.x] = threadIdx.x;
+}`, DialectCUDA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 64
-	var want []int32
-	for _, eng := range []Engine{EngineVM, EngineTree, EngineWarp, EngineAuto} {
+	type run struct {
+		out   []int32
+		stats gpusim.LaunchStats
+		err   string
+	}
+	launch := func(kernel string, eng Engine, seed uint64) run {
 		dev := gpusim.NewDefaultDevice()
 		out, _ := dev.Malloc(n * 4)
 		av := make([]int32, n)
@@ -138,21 +150,33 @@ func TestEngineOverride(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = prog.Launch(dev, "vecAdd",
-			LaunchOpts{Grid: gpusim.D1(2), Block: gpusim.D1(32), Engine: eng},
+		var r run
+		stats, lerr := prog.Launch(dev, kernel,
+			LaunchOpts{Grid: gpusim.D1(2), Block: gpusim.D1(32), Engine: eng, SchedSeed: seed},
 			IntPtr(out), IntPtr(a), IntPtr(b), Int(n))
-		if err != nil {
-			t.Fatalf("engine %d: %v", eng, err)
+		if lerr != nil {
+			r.err = lerr.Error()
 		}
-		got, _ := dev.ReadInt32(out, n)
-		if want == nil {
-			want = got
-			continue
+		if stats != nil {
+			r.stats = *stats
+			r.stats.WallTime = 0
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("engine %d: out[%d] = %d, want %d", eng, i, got[i], want[i])
-			}
+		r.out, _ = dev.ReadInt32(out, n)
+		return r
+	}
+	for _, c := range []struct {
+		kernel string
+		eng    Engine
+		seed   uint64
+	}{{"vecAdd", EngineWarp, 0}, {"vecAdd", EngineAuto, 0}, {"lastWriter", EngineWarp, 0x5eed}} {
+		want := launch(c.kernel, EngineTree, c.seed)
+		if want.err != "" {
+			t.Fatalf("%s on tree, seed %#x: %s", c.kernel, c.seed, want.err)
+		}
+		got := launch(c.kernel, c.eng, c.seed)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s on engine %d, seed %#x: got %+v, want tree's %+v",
+				c.kernel, c.eng, c.seed, got, want)
 		}
 	}
 }

@@ -82,7 +82,7 @@ func runCodecDiff(t *testing.T, c diffCase) {
 	for _, e := range []struct {
 		name string
 		eng  Engine
-	}{{"vm", EngineVM}, {"tree", EngineTree}, {"warp", EngineWarp}} {
+	}{{"tree", EngineTree}, {"warp", EngineWarp}} {
 		got := runOnEngine(t, dec, c, e.eng)
 		if got.errStr != tree.errStr {
 			t.Fatalf("decoded error divergence:\n%s: %q\ntree: %q\nkernel:\n%s",
@@ -98,7 +98,7 @@ func runCodecDiff(t *testing.T, c diffCase) {
 		}
 		// Same documented boundary as runDiff: a mid-kernel trap on a
 		// multi-lane launch leaves the warp engine's lockstep lanes ahead
-		// of where the serial engines stop.
+		// of where the serial tree walker stops.
 		if e.eng == EngineWarp && tree.errStr != "" && c.grid.Count()*c.block.Count() > 1 {
 			continue
 		}

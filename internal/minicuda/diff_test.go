@@ -10,10 +10,9 @@ import (
 	"webgpu/internal/gpusim"
 )
 
-// Differential testing of the three execution engines: every kernel is
-// compiled once and launched three times — through the bytecode register
-// VM, the tree-walking interpreter, and the warp-vectorized engine — on
-// separate devices. Outputs, LaunchStats (minus wall time), and error
+// Differential testing of the two execution engines: every kernel is
+// compiled once and launched twice — through the tree-walking interpreter
+// and the warp-vectorized bytecode engine — on separate devices. Outputs, LaunchStats (minus wall time), and error
 // strings must match exactly; the tree walker is the oracle, so the
 // generators only need to produce valid, terminating kernels, not predict
 // their results.
@@ -95,36 +94,31 @@ func runDiff(t *testing.T, c diffCase) {
 		t.Fatalf("compile failed:\n%s\nerror: %v", c.src, err)
 	}
 	tree := runOnEngine(t, prog, c, EngineTree)
-	for _, e := range []struct {
-		name string
-		eng  Engine
-	}{{"vm", EngineVM}, {"warp", EngineWarp}} {
-		got := runOnEngine(t, prog, c, e.eng)
-		if got.errStr != tree.errStr {
-			t.Fatalf("error divergence:\n%s: %q\ntree: %q\nkernel:\n%s",
-				e.name, got.errStr, tree.errStr, c.src)
-		}
-		if !reflect.DeepEqual(got.ints, tree.ints) {
-			t.Fatalf("int output divergence:\n%s: %v\ntree: %v\nkernel:\n%s",
-				e.name, got.ints, tree.ints, c.src)
-		}
-		if !reflect.DeepEqual(got.floats, tree.floats) {
-			t.Fatalf("float output divergence:\n%s: %v\ntree: %v\nkernel:\n%s",
-				e.name, got.floats, tree.floats, c.src)
-		}
-		// Stats are byte-identical except for one documented boundary: when a
-		// multi-thread launch traps mid-kernel, the warp engine's lockstep
-		// lanes have co-progressed to the trap point, while the serial
-		// per-thread engines never start the threads after the trapping one.
-		// Traps are exact at 1×1 (the whole random corpus) and on trap-free
-		// multi-lane kernels.
-		if e.eng == EngineWarp && tree.errStr != "" && c.grid.Count()*c.block.Count() > 1 {
-			continue
-		}
-		if !reflect.DeepEqual(got.stats, tree.stats) {
-			t.Fatalf("stats divergence:\n%s: %+v\ntree: %+v\nkernel:\n%s",
-				e.name, got.stats, tree.stats, c.src)
-		}
+	got := runOnEngine(t, prog, c, EngineWarp)
+	if got.errStr != tree.errStr {
+		t.Fatalf("error divergence:\nwarp: %q\ntree: %q\nkernel:\n%s",
+			got.errStr, tree.errStr, c.src)
+	}
+	if !reflect.DeepEqual(got.ints, tree.ints) {
+		t.Fatalf("int output divergence:\nwarp: %v\ntree: %v\nkernel:\n%s",
+			got.ints, tree.ints, c.src)
+	}
+	if !reflect.DeepEqual(got.floats, tree.floats) {
+		t.Fatalf("float output divergence:\nwarp: %v\ntree: %v\nkernel:\n%s",
+			got.floats, tree.floats, c.src)
+	}
+	// Stats are byte-identical except for one documented boundary: when a
+	// multi-thread launch traps mid-kernel, the warp engine's lockstep
+	// lanes have co-progressed to the trap point, while the serial tree
+	// walker never starts the threads after the trapping one. Traps are
+	// exact at 1×1 (the whole random corpus) and on trap-free multi-lane
+	// kernels.
+	if tree.errStr != "" && c.grid.Count()*c.block.Count() > 1 {
+		return
+	}
+	if !reflect.DeepEqual(got.stats, tree.stats) {
+		t.Fatalf("stats divergence:\nwarp: %+v\ntree: %+v\nkernel:\n%s",
+			got.stats, tree.stats, c.src)
 	}
 }
 
@@ -450,7 +444,7 @@ type namedDiffCase struct {
 // warpDivergenceCases returns divergence-heavy multi-lane kernels that
 // stress the warp engine's strand splitting, reconvergence-by-merge, and
 // the barrier arrive/wait split. All are race-free and trap-free so the
-// three engines must agree bit-for-bit on outputs and stats. Shared with
+// two engines must agree bit-for-bit on outputs and stats. Shared with
 // codec_test.go.
 func warpDivergenceCases() []namedDiffCase {
 	return []namedDiffCase{
@@ -565,8 +559,8 @@ __global__ void k(int *iout, float *fout) {
 	}
 }
 
-// TestDiffWarpDivergence runs the curated divergence corpus through all
-// three engines with the tree walker as oracle.
+// TestDiffWarpDivergence runs the curated divergence corpus through both
+// engines with the tree walker as oracle.
 func TestDiffWarpDivergence(t *testing.T) {
 	for _, c := range warpDivergenceCases() {
 		c := c

@@ -320,7 +320,7 @@ func (th *thread) execDecl(fr []Value, d *VarDecl) error {
 // ---- Memory -----------------------------------------------------------------
 
 // loadMem loads the scalar of type t at pointer p. It is shared by the
-// tree-walking interpreter and the register VM.
+// tree-walking interpreter and the warp engine.
 func loadMem(tc *gpusim.ThreadCtx, p Pointer, t *Type) (Value, error) {
 	size := t.Size()
 	switch p.Space {
@@ -387,7 +387,7 @@ func loadMem(tc *gpusim.ThreadCtx, p Pointer, t *Type) (Value, error) {
 }
 
 // storeMem stores scalar v (already converted to t) at pointer p. It is
-// shared by the tree-walking interpreter and the register VM.
+// shared by the tree-walking interpreter and the warp engine.
 func storeMem(tc *gpusim.ThreadCtx, p Pointer, t *Type, v Value) error {
 	size := t.Size()
 	switch p.Space {

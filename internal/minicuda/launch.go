@@ -45,19 +45,15 @@ func Compile(src string, dialect Dialect) (*Program, error) {
 type Engine uint8
 
 const (
-	// EngineAuto uses the warp engine unless MINICUDA_INTERP selects
-	// another (or the program could not be lowered).
+	// EngineAuto uses the warp engine unless MINICUDA_INTERP=tree selects
+	// the tree walker.
 	EngineAuto Engine = iota
-	// EngineVM forces the per-thread bytecode register VM (falls back to
-	// the tree walker only when lowering failed).
-	EngineVM
 	// EngineTree forces the tree-walking interpreter.
 	EngineTree
 	// EngineWarp forces the warp-vectorized bytecode engine, which decodes
 	// each instruction once per warp instead of once per thread. Launches
-	// the warp engine cannot serve exactly (SchedSeed-permuted serial
-	// order, warps wider than maxWarpLanes, lowering failure) fall back to
-	// the VM.
+	// the warp engine cannot serve (SchedSeed-permuted serial order, warps
+	// wider than maxWarpLanes, lowering failure) run on the tree walker.
 	EngineWarp
 )
 
@@ -66,17 +62,14 @@ var (
 	engineEnv  Engine
 )
 
-// defaultEngine resolves the process-wide engine choice once; the
-// MINICUDA_INTERP variable (tree | vm | warp) keeps the older
-// interpreters reachable without recompiling.
+// defaultEngine resolves the process-wide engine choice once;
+// MINICUDA_INTERP=tree keeps the tree walker reachable without
+// recompiling, and any other value selects the warp engine.
 func defaultEngine() Engine {
 	engineOnce.Do(func() {
-		switch os.Getenv("MINICUDA_INTERP") {
-		case "tree":
+		if os.Getenv("MINICUDA_INTERP") == "tree" {
 			engineEnv = EngineTree
-		case "vm":
-			engineEnv = EngineVM
-		default:
+		} else {
 			engineEnv = EngineWarp
 		}
 	})
@@ -171,31 +164,16 @@ func (p *Program) Launch(dev *gpusim.Device, kernel string, opts LaunchOpts, arg
 	if eng == EngineAuto {
 		eng = defaultEngine()
 	}
-	if eng == EngineWarp {
-		// SchedSeed permutes per-thread serial order, which a lockstep warp
-		// cannot reproduce; overly wide warps exceed the engine's lane
-		// bookkeeping. Both fall back to the per-thread VM.
-		if opts.SchedSeed != 0 || dev.Props().WarpSize > maxWarpLanes {
-			eng = EngineVM
-		} else if wp := p.warpcode(); wp != nil {
+	// A lockstep warp cannot reproduce a SchedSeed-permuted serial order,
+	// and overly wide warps exceed the engine's lane bookkeeping: both run
+	// on the tree walker, which goes through dev.Launch and so honours
+	// SchedSeed.
+	if eng == EngineWarp && opts.SchedSeed == 0 && dev.Props().WarpSize <= maxWarpLanes {
+		if wp := p.warpcode(); wp != nil {
 			kfn := wp.bc.funcs[fn]
 			cfg.NoBarriers = !wp.bc.usesBarrier
 			return dev.LaunchWarp(kernel, cfg, func(wc *gpusim.WarpCtx) error {
 				return wp.run(wc, kfn, bound, maxSteps)
-			})
-		} else {
-			eng = EngineVM
-		}
-	}
-	if eng != EngineTree {
-		if bc := p.bytecode(); bc != nil {
-			kfn := bc.funcs[fn]
-			cfg.NoBarriers = !bc.usesBarrier
-			return dev.Launch(kernel, cfg, func(tc *gpusim.ThreadCtx) error {
-				st := vmPool.Get().(*vmState)
-				err := bc.run(st, tc, kfn, bound, maxSteps)
-				vmPool.Put(st)
-				return err
 			})
 		}
 	}

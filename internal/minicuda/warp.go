@@ -16,22 +16,22 @@ package minicuda
 // superinstructions executed with one dispatch, one budget check, and one
 // batched ALU charge.
 //
-// Parity contract (enforced by the three-way oracle in diff_test.go):
-// results, LaunchStats, and error strings match the tree walker and the
-// register VM exactly for race-free kernels. Compute charges (ALU,
-// special, branch, barrier) are batched per warp — only block-level sums
-// are observable. Memory accesses are NEVER batched: each goes through
-// the owning lane's ThreadCtx in ascending lane order, so gpusim's
-// warp-synchronous coalescing model sees per-thread event logs identical
-// to the per-thread engines. Step budgets are per-lane exact: a strand
-// carries a shared counter plus per-lane offsets (rebased on merge), and
-// fused superinstructions fall back to component-at-a-time replay when a
-// budget trap could fire inside them. For single-lane launches the warp
-// engine is instruction-for-instruction identical to the VM, including
-// trap points; for multi-lane launches that trap mid-kernel, the set of
-// partially-executed threads may differ from the serial engines (lockstep
-// lanes run together), exactly as concurrent per-thread execution already
-// differs from serial.
+// Parity contract (enforced by the tree-walker oracle in diff_test.go):
+// results, LaunchStats, and error strings match the tree walker exactly
+// for race-free kernels. Compute charges (ALU, special, branch, barrier)
+// are batched per warp — only block-level sums are observable. Memory
+// accesses are NEVER batched: each goes through the owning lane's
+// ThreadCtx in ascending lane order, so gpusim's warp-synchronous
+// coalescing model sees per-thread event logs identical to the tree
+// walker's. Step budgets are per-lane exact: a strand carries a shared
+// counter plus per-lane offsets (rebased on merge), and fused
+// superinstructions fall back to component-at-a-time replay when a budget
+// trap could fire inside them. For single-lane launches the warp engine
+// matches the tree walker step for step, including trap points; for
+// multi-lane launches that trap mid-kernel, the set of partially-executed
+// threads may differ from the serial tree walker (lockstep lanes run
+// together), exactly as concurrent per-thread execution already differs
+// from serial.
 
 import (
 	"math"
@@ -40,7 +40,8 @@ import (
 )
 
 // maxWarpLanes bounds the lane count the warp engine supports (lane masks
-// and scratch assume it); devices with wider warps fall back to the VM.
+// and scratch assume it); devices with wider warps fall back to the tree
+// walker.
 const maxWarpLanes = 64
 
 // wOp tags a winstr with its fusion kind.
@@ -496,7 +497,7 @@ func (wx *warpExec) runStrand(s *strand, watermark int32) (uint8, error) {
 			continue
 		}
 		// Near the budget: replay the components one at a time so the trap
-		// fires between the same two effects as the per-thread engines.
+		// fires between the same two effects as the tree walker.
 		if w.steps1 != 0 {
 			s.steps += int64(w.steps1)
 			if s.steps+s.maxBase > maxSteps {
@@ -621,7 +622,7 @@ func (wx *warpExec) execFused(s *strand, w *winstr) (uint8, error) {
 // loadIdxFast is the dead-temp path of a fused indexed load: the formed
 // pointer is consumed only by this load, so it is never materialized —
 // the lane's address arithmetic feeds the ThreadCtx entry point directly.
-// Dispatch mirrors loadLane (and so vm.go's opLoad fast paths) exactly.
+// Dispatch mirrors loadLane's fast paths exactly.
 func (wx *warpExec) loadIdxFast(s *strand, w *winstr) (uint8, error) {
 	ws := wx.ws
 	W := ws.W
@@ -836,8 +837,9 @@ func (wx *warpExec) finishBranch(s *strand, target int32) (uint8, error) {
 	return ctlSplit, nil
 }
 
-// loadLane performs opLoad's per-lane effect with pointer p, mirroring the
-// VM's fast paths exactly (vm.go opLoad).
+// loadLane performs opLoad's per-lane effect with pointer p: 4-byte
+// global and shared accesses go straight to the ThreadCtx, the rest
+// through loadMem.
 func (wx *warpExec) loadLane(s *strand, in *instr, li int, p Pointer) error {
 	ws := wx.ws
 	W := ws.W
@@ -893,7 +895,7 @@ func (wx *warpExec) loadLane(s *strand, in *instr, li int, p Pointer) error {
 }
 
 // storeLane performs opStoreI/opStoreF's per-lane effect with pointer p,
-// mirroring the VM's fast paths exactly.
+// with the same fast paths as loadLane.
 func (wx *warpExec) storeLane(s *strand, in *instr, li int, p Pointer) error {
 	ws := wx.ws
 	W := ws.W

@@ -2,8 +2,7 @@ package minicuda
 
 // Warp-execution state: struct-of-arrays register banks plus the strand
 // bookkeeping the warp engine in warp.go schedules over. One warpState
-// services a whole warp (and is pooled across warps of a launch), exactly
-// as one vmState services a thread in vm.go.
+// services a whole warp (and is pooled across warps of a launch).
 //
 // Register layout is struct-of-arrays with the warp's live-lane count W as
 // the stride: logical register r of a strand whose window base is b lives
@@ -49,7 +48,7 @@ type strand struct {
 // and flush into one lane's ThreadCtx when the warp finishes. Memory
 // traffic is NOT batched: every access goes through the owning lane's
 // ThreadCtx so the per-thread event logs driving the coalescing cost model
-// stay identical to the per-thread engines.
+// stay identical to the per-thread tree walker.
 type chargeAcc struct {
 	alu, special, branches, barriers int64
 }
@@ -62,10 +61,11 @@ type warpState struct {
 	floats []float64
 	ptrs   []Pointer
 	lanes  []*gpusim.ThreadCtx
-	dims   [][12]int // per-lane builtin dims, layout as vm.go's dims
+	dims   [][12]int // per-lane builtin dims: threadIdx, blockIdx, blockDim, gridDim
 	acc    chargeAcc
 
-	strands []*strand // recycle list
+	strands  []*strand // recycle list
+	mergeBuf []int32   // mergeLanes scratch
 }
 
 var warpStatePool = sync.Pool{New: func() any { return new(warpState) }}
@@ -168,21 +168,20 @@ func (ws *warpState) mergeInto(s, o *strand) {
 	for _, l := range o.lanes {
 		s.base[l] = o.base[l] + o.steps - s.steps
 	}
-	s.lanes = mergeLanes(s.lanes, o.lanes)
+	s.lanes, ws.mergeBuf = mergeLanes(s.lanes, o.lanes, ws.mergeBuf)
 	s.recomputeMaxBase()
 	ws.freeStrand(o)
 }
 
-// mergeLanes merges two ascending disjoint lane lists in place of a.
-func mergeLanes(a, b []int32) []int32 {
-	// Common fast path: all of b after all of a (or vice versa).
-	if len(a) == 0 {
-		return append(a, b...)
+// mergeLanes merges two ascending disjoint lane lists in place of a,
+// interleaving through scratch so divergent merges do not allocate. It
+// returns the merged list and scratch (possibly regrown) for reuse.
+func mergeLanes(a, b, scratch []int32) (merged, scr []int32) {
+	// Common fast path: all of b after all of a.
+	if len(a) == 0 || b[0] > a[len(a)-1] {
+		return append(a, b...), scratch
 	}
-	if b[0] > a[len(a)-1] {
-		return append(a, b...)
-	}
-	out := make([]int32, 0, len(a)+len(b))
+	out := scratch[:0]
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		if a[i] < b[j] {
@@ -195,5 +194,5 @@ func mergeLanes(a, b []int32) []int32 {
 	}
 	out = append(out, a[i:]...)
 	out = append(out, b[j:]...)
-	return append(a[:0], out...)
+	return append(a[:0], out...), out
 }

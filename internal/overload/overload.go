@@ -255,7 +255,7 @@ type Controller struct {
 	slos  [numClasses]*burnTracker
 
 	bkMu    sync.Mutex
-	buckets map[bucketKey]*bucket
+	buckets map[bucketKey]*Bucket
 }
 
 type bucketKey struct {
@@ -279,7 +279,7 @@ func New(cfg Config) *Controller {
 		draftLoad:       cfg.DraftLoad,
 		queueDepthLimit: cfg.QueueDepthLimit,
 		draftLoadLimit:  cfg.DraftLoadLimit,
-		buckets:         map[bucketKey]*bucket{},
+		buckets:         map[bucketKey]*Bucket{},
 	}
 	if c.clock == nil {
 		c.clock = time.Now
@@ -510,10 +510,10 @@ func (c *Controller) chargeTenant(cl Class, tenant string, now time.Time) (time.
 		if len(c.buckets) >= maxTenantBuckets {
 			c.sweepBucketsLocked(now)
 		}
-		b = newBucket(lim.TenantBurst, lim.TenantInterval, now)
+		b = NewBucket(lim.TenantBurst, lim.TenantInterval, now)
 		c.buckets[key] = b
 	}
-	if b.allow(now) {
+	if b.Allow(now) {
 		return 0, true
 	}
 	return b.nextToken(now), false
@@ -661,19 +661,22 @@ func (c *Controller) Collect(r *metrics.Registry) {
 	r.Set("overload_pressure", c.Pressure())
 }
 
-// bucket is a deterministic token bucket driven by the caller's clock.
-type bucket struct {
+// Bucket is a deterministic token bucket driven by the caller's clock:
+// it holds up to burst tokens and refills one every interval. A
+// non-positive interval disables the limit.
+type Bucket struct {
 	tokens   float64
 	burst    float64
 	interval time.Duration // time to refill one token
 	last     time.Time
 }
 
-func newBucket(burst int, interval time.Duration, now time.Time) *bucket {
-	return &bucket{tokens: float64(burst), burst: float64(burst), interval: interval, last: now}
+// NewBucket returns a full bucket whose refill clock starts at now.
+func NewBucket(burst int, interval time.Duration, now time.Time) *Bucket {
+	return &Bucket{tokens: float64(burst), burst: float64(burst), interval: interval, last: now}
 }
 
-func (b *bucket) refill(now time.Time) {
+func (b *Bucket) refill(now time.Time) {
 	if dt := now.Sub(b.last); dt > 0 {
 		b.tokens += float64(dt) / float64(b.interval)
 		if b.tokens > b.burst {
@@ -683,7 +686,9 @@ func (b *bucket) refill(now time.Time) {
 	b.last = now
 }
 
-func (b *bucket) allow(now time.Time) bool {
+// Allow takes one token at time now, reporting false when the bucket is
+// dry.
+func (b *Bucket) Allow(now time.Time) bool {
 	if b.interval <= 0 {
 		return true
 	}
@@ -696,7 +701,7 @@ func (b *bucket) allow(now time.Time) bool {
 }
 
 // nextToken reports how long until one token is available.
-func (b *bucket) nextToken(now time.Time) time.Duration {
+func (b *Bucket) nextToken(now time.Time) time.Duration {
 	b.refill(now)
 	if b.tokens >= 1 {
 		return 0
@@ -704,7 +709,7 @@ func (b *bucket) nextToken(now time.Time) time.Duration {
 	return time.Duration((1 - b.tokens) * float64(b.interval))
 }
 
-func (b *bucket) full(now time.Time) bool {
+func (b *Bucket) full(now time.Time) bool {
 	b.refill(now)
 	return b.tokens >= b.burst
 }

@@ -35,14 +35,14 @@ func (c *fakeClock) Advance(d time.Duration) {
 
 func TestBucketRefillDeterministic(t *testing.T) {
 	clk := newFakeClock()
-	b := newBucket(3, time.Second, clk.Now())
+	b := NewBucket(3, time.Second, clk.Now())
 
 	for i := 0; i < 3; i++ {
-		if !b.allow(clk.Now()) {
+		if !b.Allow(clk.Now()) {
 			t.Fatalf("token %d: want allow within burst", i)
 		}
 	}
-	if b.allow(clk.Now()) {
+	if b.Allow(clk.Now()) {
 		t.Fatal("bucket dry: want deny")
 	}
 	if got := b.nextToken(clk.Now()); got != time.Second {
@@ -50,7 +50,7 @@ func TestBucketRefillDeterministic(t *testing.T) {
 	}
 
 	clk.Advance(500 * time.Millisecond)
-	if b.allow(clk.Now()) {
+	if b.Allow(clk.Now()) {
 		t.Fatal("half a token refilled: want deny")
 	}
 	if got := b.nextToken(clk.Now()); got != 500*time.Millisecond {
@@ -58,10 +58,10 @@ func TestBucketRefillDeterministic(t *testing.T) {
 	}
 
 	clk.Advance(500 * time.Millisecond)
-	if !b.allow(clk.Now()) {
+	if !b.Allow(clk.Now()) {
 		t.Fatal("one token refilled: want allow")
 	}
-	if b.allow(clk.Now()) {
+	if b.Allow(clk.Now()) {
 		t.Fatal("token spent again: want deny")
 	}
 
@@ -71,11 +71,11 @@ func TestBucketRefillDeterministic(t *testing.T) {
 		t.Fatal("want full after long idle")
 	}
 	for i := 0; i < 3; i++ {
-		if !b.allow(clk.Now()) {
+		if !b.Allow(clk.Now()) {
 			t.Fatalf("token %d after refill-to-burst: want allow", i)
 		}
 	}
-	if b.allow(clk.Now()) {
+	if b.Allow(clk.Now()) {
 		t.Fatal("want capped at burst, got extra token")
 	}
 }

@@ -59,7 +59,6 @@ const DefaultCapacity = 4096
 type Stats struct {
 	Hits             int64 // served from the cache
 	HitsAST          int64 // hits on programs executed by the tree walker
-	HitsBytecode     int64 // hits on programs carrying a bytecode artifact
 	HitsBytecodeWarp int64 // hits on programs carrying a fused warp-stream artifact
 	HitsDiagnostics  int64 // diagnostics served without re-analysis
 	Misses           int64 // absent from memory (disk or compile filled it)
@@ -75,8 +74,7 @@ type Stats struct {
 }
 
 // ProgBlob is the castore blob name for the serialized program: the
-// three program kinds are one stream (the decoded program carries all
-// of them).
+// two program kinds are one stream (the decoded program carries both).
 const ProgBlob = "prog"
 
 // DiagBlob is the castore blob name diagnostics persist under as JSON.
@@ -98,7 +96,6 @@ type artifactSpec struct {
 // registration; nothing else can silently drift.
 var artifactSpecs = []artifactSpec{
 	{kind: "ast", blob: ProgBlob},
-	{kind: "bytecode", blob: ProgBlob},
 	{kind: "bytecode-warp", blob: ProgBlob},
 	{kind: "diagnostics", blob: DiagBlob},
 }
@@ -246,21 +243,12 @@ func (c *Cache) CompileStatus(src string, dialect minicuda.Dialect) (*minicuda.P
 		c.lru.MoveToFront(e.elem)
 		c.stats.Hits++
 		c.inc("progcache_hits")
-		// Split the hit by the executable artifact the program runs on, so
-		// the rollout of each engine tier (tree walker -> register VM ->
-		// warp engine) is observable per worker.
-		kind := "ast"
-		if e.prog != nil {
-			kind = e.prog.ArtifactKind()
-		}
-		switch kind {
-		case "bytecode-warp":
+		// Split the hit by the executable artifact the program runs on
+		// (tree walker or warp engine), observable per worker.
+		if e.prog != nil && e.prog.ArtifactKind() == "bytecode-warp" {
 			c.stats.HitsBytecodeWarp++
-			c.inc(hitMetric(kind))
-		case "bytecode":
-			c.stats.HitsBytecode++
-			c.inc(hitMetric(kind))
-		default:
+			c.inc(hitMetric("bytecode-warp"))
+		} else {
 			c.stats.HitsAST++
 			c.inc(hitMetric("ast"))
 		}

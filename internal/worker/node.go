@@ -442,9 +442,6 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 				case "bytecode-warp":
 					attrs["engine"] = "warp"
 					attrs["instructions"] = strconv.Itoa(prog.InstructionCount())
-				case "bytecode":
-					attrs["engine"] = "vm"
-					attrs["instructions"] = strconv.Itoa(prog.InstructionCount())
 				default:
 					attrs["engine"] = "tree"
 				}
