@@ -166,17 +166,19 @@ type Manager struct {
 	mu       sync.Mutex
 	sessions map[string]*Session
 	perUser  map[string]int
-	buckets  map[string]*overload.Bucket // per-user draft budgets
 	closed   bool
+
+	users *overload.Buckets // per-user draft budgets
 }
 
 // NewManager builds a manager from the config (zero fields take defaults).
 func NewManager(cfg Config) *Manager {
+	cfg = cfg.withDefaults()
 	m := &Manager{
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg,
 		sessions: map[string]*Session{},
 		perUser:  map[string]int{},
-		buckets:  map[string]*overload.Bucket{},
+		users:    overload.NewBuckets(cfg.DraftBurst, cfg.DraftInterval),
 	}
 	// Register the series at zero so dashboards scraping a fresh server
 	// see the whole devsession_* set, not counters popping in on first use.
@@ -300,21 +302,6 @@ func (m *Manager) dropLocked(s *Session, reason string) {
 	}
 	m.cfg.Metrics.Inc("devsession_closed", 1)
 	m.cfg.Metrics.Set("devsession_active", float64(len(m.sessions)))
-}
-
-// allowUser charges one draft against the user's token bucket.
-func (m *Manager) allowUser(userID string, now time.Time) bool {
-	if m.cfg.DraftInterval <= 0 {
-		return true
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b := m.buckets[userID]
-	if b == nil {
-		b = overload.NewBucket(m.cfg.DraftBurst, m.cfg.DraftInterval, now)
-		m.buckets[userID] = b
-	}
-	return b.Allow(now)
 }
 
 // shedDraft reports whether draft analyses are currently shed: system

@@ -10,6 +10,7 @@ import (
 	"webgpu/internal/minicuda"
 	"webgpu/internal/overload"
 	"webgpu/internal/progcache"
+	"webgpu/internal/trace"
 )
 
 // Event types, in the order a draft normally produces them.
@@ -31,7 +32,7 @@ type Event struct {
 // CompilePayload is the data of a "compile" event.
 type CompilePayload struct {
 	Draft     int64   `json:"draft"`
-	Cache     string  `json:"cache"` // hit | miss | coalesced
+	Cache     string  `json:"cache"` // hit | miss | coalesced | disk
 	OK        bool    `json:"ok"`
 	Error     string  `json:"error,omitempty"`
 	ElapsedMS float64 `json:"elapsed_ms"`
@@ -121,7 +122,7 @@ func (s *Session) PushDraft(source string) (seq int64, coalesced bool, err error
 		s.m.cfg.Metrics.Inc("devsession_draft_shed", 1)
 		return 0, false, ErrShed
 	}
-	if !s.m.allowUser(s.UserID, now) {
+	if _, ok := s.m.users.Take(s.UserID, now); !ok {
 		s.m.cfg.Metrics.Inc("devsession_rate_limited", 1)
 		return 0, false, ErrRateLimited
 	}
@@ -364,7 +365,7 @@ type pipelineOut struct {
 func (s *Session) runDraft(ctx context.Context, d *draft) {
 	start := s.m.now()
 	tr := s.m.cfg.Traces.NewTrace()
-	sp := tr.StartSpan("draft",
+	sp := trace.Start(tr, nil, "draft",
 		"session", s.ID, "lab", s.LabID, "draft", strconv.FormatInt(d.seq, 10))
 	done := make(chan pipelineOut, 1)
 	go func() {

@@ -11,6 +11,7 @@ import (
 	"webgpu/internal/cluster"
 	"webgpu/internal/labs"
 	"webgpu/internal/minicuda"
+	"webgpu/internal/overload"
 	"webgpu/internal/peerreview"
 	"webgpu/internal/queue"
 	"webgpu/internal/sandbox"
@@ -311,12 +312,11 @@ func Limits() string {
 	sb.WriteString("== D7: submission-rate and execution-time limits (§III-C) ==\n\n")
 
 	// Rate limit: an abusive client hammers submit.
-	rl := sandbox.NewRateLimiter(10 * time.Second)
+	rl := overload.NewBuckets(1, 10*time.Second)
 	now := time.Unix(0, 0)
-	rl.SetClock(func() time.Time { return now })
 	admitted, rejected := 0, 0
 	for i := 0; i < 60; i++ {
-		if rl.Admit("abuser") == nil {
+		if _, ok := rl.Take("abuser", now); ok {
 			admitted++
 		} else {
 			rejected++

@@ -251,22 +251,10 @@ type Controller struct {
 	queueDepth func() int
 	draftLoad  func() int
 
-	gates [numClasses]*gate
-	slos  [numClasses]*burnTracker
-
-	bkMu    sync.Mutex
-	buckets map[bucketKey]*Bucket
+	gates   [numClasses]*gate
+	slos    [numClasses]*burnTracker
+	tenants [numClasses]*Buckets // nil for classes without tenant limits
 }
-
-type bucketKey struct {
-	class  Class
-	tenant string
-}
-
-// maxTenantBuckets bounds the per-tenant bucket map; past it, fully
-// refilled (idle) buckets are swept. A bucket at full burst is
-// indistinguishable from a fresh one, so sweeping them is lossless.
-const maxTenantBuckets = 16384
 
 // New builds a controller. Zero-value Config fields take defaults; the
 // result is usable immediately and pre-registers its metric series at
@@ -279,7 +267,6 @@ func New(cfg Config) *Controller {
 		draftLoad:       cfg.DraftLoad,
 		queueDepthLimit: cfg.QueueDepthLimit,
 		draftLoadLimit:  cfg.DraftLoadLimit,
-		buckets:         map[bucketKey]*Bucket{},
 	}
 	if c.clock == nil {
 		c.clock = time.Now
@@ -308,6 +295,9 @@ func New(cfg Config) *Controller {
 			lim.RetryAfter = defaultLimit(cl).RetryAfter
 		}
 		c.gates[cl] = &gate{limit: lim}
+		if lim.TenantBurst > 0 && lim.TenantInterval > 0 {
+			c.tenants[cl] = NewBuckets(lim.TenantBurst, lim.TenantInterval)
+		}
 
 		slo := defaultSLO(cl)
 		if o, ok := cfg.SLO[cl]; ok && o.Target > 0 {
@@ -425,12 +415,12 @@ func (c *Controller) Admit(ctx context.Context, cl Class, tenants ...string) (*T
 
 	// Per-tenant token buckets: a spike from one tenant must not admit
 	// its way past everyone else's budget.
-	if g.limit.TenantBurst > 0 && g.limit.TenantInterval > 0 {
+	if tb := c.tenants[cl]; tb != nil {
 		for _, tenant := range tenants {
 			if tenant == "" {
 				continue
 			}
-			if wait, ok := c.chargeTenant(cl, tenant, now); !ok {
+			if wait, ok := tb.Take(tenant, now); !ok {
 				return nil, c.shed(cl, ReasonRateLimited, wait)
 			}
 		}
@@ -496,36 +486,6 @@ func (c *Controller) backpressureRetry(lim ClassLimit, pressure float64) time.Du
 		d = 30 * time.Second
 	}
 	return d
-}
-
-// chargeTenant takes one token from (class, tenant)'s bucket, reporting
-// the wait until the next token when the bucket is dry.
-func (c *Controller) chargeTenant(cl Class, tenant string, now time.Time) (time.Duration, bool) {
-	lim := c.gates[cl].limit
-	key := bucketKey{class: cl, tenant: tenant}
-	c.bkMu.Lock()
-	defer c.bkMu.Unlock()
-	b := c.buckets[key]
-	if b == nil {
-		if len(c.buckets) >= maxTenantBuckets {
-			c.sweepBucketsLocked(now)
-		}
-		b = NewBucket(lim.TenantBurst, lim.TenantInterval, now)
-		c.buckets[key] = b
-	}
-	if b.Allow(now) {
-		return 0, true
-	}
-	return b.nextToken(now), false
-}
-
-// sweepBucketsLocked drops fully-refilled buckets (idle tenants).
-func (c *Controller) sweepBucketsLocked(now time.Time) {
-	for k, b := range c.buckets {
-		if b.full(now) {
-			delete(c.buckets, k)
-		}
-	}
 }
 
 // admitted records a successful admission.
@@ -663,27 +623,27 @@ func (c *Controller) Collect(r *metrics.Registry) {
 
 // Bucket is a deterministic token bucket driven by the caller's clock:
 // it holds up to burst tokens and refills one every interval. A
-// non-positive interval disables the limit.
+// non-positive interval disables the limit. The level is kept as the
+// instant the bucket is full again, in whole nanoseconds, so a refill
+// spread over many calls adds up exactly: a burst-1 bucket admits again
+// exactly interval after its last admission.
 type Bucket struct {
-	tokens   float64
-	burst    float64
+	window   time.Duration // burst × interval: how far ahead of now fullAt may run
 	interval time.Duration // time to refill one token
-	last     time.Time
+	fullAt   time.Time     // when the bucket is full again; at or before now means full
 }
 
-// NewBucket returns a full bucket whose refill clock starts at now.
+// NewBucket returns a full bucket.
 func NewBucket(burst int, interval time.Duration, now time.Time) *Bucket {
-	return &Bucket{tokens: float64(burst), burst: float64(burst), interval: interval, last: now}
+	return &Bucket{window: time.Duration(burst) * interval, interval: interval, fullAt: now}
 }
 
-func (b *Bucket) refill(now time.Time) {
-	if dt := now.Sub(b.last); dt > 0 {
-		b.tokens += float64(dt) / float64(b.interval)
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
+// debt is the refill time still owed at now: (burst - tokens) × interval.
+func (b *Bucket) debt(now time.Time) time.Duration {
+	if d := b.fullAt.Sub(now); d > 0 {
+		return d
 	}
-	b.last = now
+	return 0
 }
 
 // Allow takes one token at time now, reporting false when the bucket is
@@ -692,24 +652,82 @@ func (b *Bucket) Allow(now time.Time) bool {
 	if b.interval <= 0 {
 		return true
 	}
-	b.refill(now)
-	if b.tokens < 1 {
+	d := b.debt(now) + b.interval
+	if d > b.window {
 		return false
 	}
-	b.tokens--
+	b.fullAt = now.Add(d)
 	return true
 }
 
 // nextToken reports how long until one token is available.
 func (b *Bucket) nextToken(now time.Time) time.Duration {
-	b.refill(now)
-	if b.tokens >= 1 {
-		return 0
+	if wait := b.debt(now) + b.interval - b.window; wait > 0 {
+		return wait
 	}
-	return time.Duration((1 - b.tokens) * float64(b.interval))
+	return 0
 }
 
-func (b *Bucket) full(now time.Time) bool {
-	b.refill(now)
-	return b.tokens >= b.burst
+func (b *Bucket) full(now time.Time) bool { return !b.fullAt.After(now) }
+
+// MaxBuckets bounds a Buckets table; past it, fully refilled (idle)
+// buckets are swept. A bucket at full burst is indistinguishable from a
+// fresh one, so sweeping them is lossless.
+const MaxBuckets = 16384
+
+// Buckets is a bounded table of per-key token buckets of one shape: the
+// per-tenant admission budgets, the per-user draft budget and the §III-C
+// submission interval. Callers pass now, so the table runs on whatever
+// clock they inject. A non-positive interval disables the limit. All
+// methods are safe for concurrent use.
+type Buckets struct {
+	burst    int
+	interval time.Duration
+
+	mu sync.Mutex
+	m  map[string]*Bucket
+}
+
+// NewBuckets returns an empty table whose buckets hold burst tokens and
+// refill one every interval.
+func NewBuckets(burst int, interval time.Duration) *Buckets {
+	return &Buckets{burst: burst, interval: interval, m: map[string]*Bucket{}}
+}
+
+// Take charges one token to key's bucket at time now. When the bucket is
+// dry it reports false and the wait until its next token.
+func (t *Buckets) Take(key string, now time.Time) (time.Duration, bool) {
+	if t.interval <= 0 {
+		return 0, true
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	b := t.m[key]
+	if b == nil {
+		if len(t.m) >= MaxBuckets {
+			t.sweepLocked(now)
+		}
+		b = NewBucket(t.burst, t.interval, now)
+		t.m[key] = b
+	}
+	if b.Allow(now) {
+		return 0, true
+	}
+	return b.nextToken(now), false
+}
+
+// sweepLocked drops fully refilled buckets (idle keys).
+func (t *Buckets) sweepLocked(now time.Time) {
+	for k, b := range t.m {
+		if b.full(now) {
+			delete(t.m, k)
+		}
+	}
+}
+
+// Len reports how many keys hold a bucket.
+func (t *Buckets) Len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.m)
 }

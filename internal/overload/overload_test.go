@@ -475,10 +475,11 @@ func TestBucketSweepDropsIdleTenants(t *testing.T) {
 
 	// After refill both buckets are full and sweepable.
 	clk.Advance(time.Minute)
-	c.bkMu.Lock()
-	c.sweepBucketsLocked(clk.Now())
-	n := len(c.buckets)
-	c.bkMu.Unlock()
+	tb := c.tenants[ClassRead]
+	tb.mu.Lock()
+	tb.sweepLocked(clk.Now())
+	n := len(tb.m)
+	tb.mu.Unlock()
 	if n != 0 {
 		t.Fatalf("sweep left %d full buckets, want 0", n)
 	}

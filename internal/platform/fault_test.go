@@ -58,6 +58,46 @@ func TestV2PlatformDedupsDuplicateResults(t *testing.T) {
 	}
 }
 
+// TestV2FailedAcksDrainWithinJobLease: one failed job ack and one
+// failed result ack leave two leases to expire. Both the job and the
+// result topic run on the deployment's job lease, so the broker drains
+// in a few leases rather than sitting on the result for a fixed minute.
+func TestV2FailedAcksDrainWithinJobLease(t *testing.T) {
+	reg := faultinject.New(1)
+	p := New(Options{
+		Arch:       V2,
+		Workers:    1,
+		Faults:     reg,
+		Visibility: 100 * time.Millisecond,
+	})
+	defer p.Close()
+
+	reg.Enable(faultinject.PointQueueAck, faultinject.Fault{Count: 2})
+	job := &worker.Job{
+		ID:     "ack-job-1",
+		LabID:  "vector-add",
+		UserID: "u1",
+		Source: labs.ByID("vector-add").Reference,
+	}
+	res, err := p.dispatchV2(context.Background(), job)
+	if err != nil {
+		t.Fatalf("dispatch: %v", err)
+	}
+	if !res.Correct() {
+		t.Fatalf("result = %+v", res)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for p.Broker.Stats().Inflight != 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := p.Broker.Stats().Inflight; n != 0 {
+		t.Fatalf("broker still holds %d leased messages 2s after the submit", n)
+	}
+	if u := p.Broker.Unaccounted(); u != 0 {
+		t.Errorf("unaccounted = %d", u)
+	}
+}
+
 // TestAdminDeadLetterEndpoints: a poison message lands in the DLQ, the
 // instructor inspects it over HTTP and redrives it; v1 deployments
 // (no broker) answer 501.

@@ -228,7 +228,7 @@ func New(opts Options) *Platform {
 		p.Fleet.SetFaults(opts.Faults)
 		p.Fleet.Scale(opts.Workers)
 		p.Replica = db.NewReplica(p.DB)
-		p.router = newResultRouter(p.Broker, p.StandbyBroker, p.metrics)
+		p.router = newResultRouter(p.Broker, p.StandbyBroker, p.metrics, wcfg.Visibility)
 		// Broker gauges refresh per scrape, like the progcache ones above.
 		p.metrics.AddCollector(func(r *metrics.Registry) {
 			bs := p.Broker.Stats()
@@ -429,6 +429,7 @@ type resultRouter struct {
 	broker  *queue.Broker
 	standby *queue.Broker
 	metrics *metrics.Registry
+	lease   time.Duration // result-poll visibility: the deployment's job lease
 	dedup   *worker.ResultDedup
 	mu      sync.Mutex
 	waiters map[string]chan *worker.Result
@@ -436,11 +437,12 @@ type resultRouter struct {
 	doneCh  chan struct{}
 }
 
-func newResultRouter(b, standby *queue.Broker, m *metrics.Registry) *resultRouter {
+func newResultRouter(b, standby *queue.Broker, m *metrics.Registry, lease time.Duration) *resultRouter {
 	rr := &resultRouter{
 		broker:  b,
 		standby: standby,
 		metrics: m,
+		lease:   lease,
 		dedup:   worker.NewResultDedup(0),
 		waiters: map[string]chan *worker.Result{},
 		stopCh:  make(chan struct{}),
@@ -474,7 +476,7 @@ func (rr *resultRouter) loop() {
 			return
 		default:
 		}
-		d, ok, err := broker.Poll(worker.TopicResults, "web-tier", caps, time.Minute)
+		d, ok, err := broker.Poll(worker.TopicResults, "web-tier", caps, rr.lease)
 		if err != nil {
 			if errors.Is(err, queue.ErrClosed) {
 				// Primary broker gone: the standby mirror holds a copy of

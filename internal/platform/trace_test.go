@@ -107,3 +107,31 @@ func TestTraceEndToEndV2(t *testing.T) {
 	defer p.Close()
 	traceFlow(t, p)
 }
+
+// TestAdminMetricsExportEveryStage: every stage that records a span (the
+// worker's exec phase as a histogram only) exports its stage_<name>_ms
+// histogram after one graded submission.
+func TestAdminMetricsExportEveryStage(t *testing.T) {
+	p := New(Options{Arch: V1, Workers: 1})
+	defer p.Close()
+	ts := httptest.NewServer(p.Handler())
+	defer ts.Close()
+
+	alice := newClient(t, ts.URL)
+	alice.register("Alice", "alice@example.edu", "student")
+	src := labs.ByID("vector-add").Reference
+	alice.mustDo("POST", "/api/labs/vector-add/save", map[string]string{"source": src}, nil)
+	alice.mustDo("POST", "/api/labs/vector-add/submit", nil, nil)
+
+	prof := newClient(t, ts.URL)
+	prof.register("Prof", "prof@example.edu", "instructor")
+	code, body := prof.do("GET", "/api/admin/metrics", nil, nil)
+	if code != http.StatusOK {
+		t.Fatalf("metrics = %d", code)
+	}
+	for _, stage := range []string{"admission", "scan", "compile", "kernelcheck", "exec", "dispatch", "grade"} {
+		if want := "webgpu_stage_" + stage + "_ms"; !strings.Contains(body, want) {
+			t.Errorf("metrics dump missing %s", want)
+		}
+	}
+}

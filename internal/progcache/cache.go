@@ -36,6 +36,7 @@ const (
 	Miss      Status = iota // compiled by this call
 	Hit                     // served from the cache
 	Coalesced               // waited on another goroutine's in-flight compile
+	DiskHit                 // absent from memory, decoded from the durable store
 )
 
 func (s Status) String() string {
@@ -44,6 +45,8 @@ func (s Status) String() string {
 		return "hit"
 	case Coalesced:
 		return "coalesced"
+	case DiskHit:
+		return "disk"
 	default:
 		return "miss"
 	}
@@ -332,6 +335,9 @@ func (c *Cache) CompileStatus(src string, dialect minicuda.Dialect) (*minicuda.P
 
 	f.prog, f.err = prog, err
 	close(f.done)
+	if fromDisk {
+		return prog, DiskHit, nil
+	}
 	return prog, Miss, err
 }
 

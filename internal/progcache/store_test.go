@@ -56,8 +56,8 @@ func TestReadThroughSkipsCompile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if status != Miss {
-			t.Fatalf("variant %d: status = %v, want Miss (memory miss, disk hit)", i, status)
+		if status != DiskHit || status.String() != "disk" {
+			t.Fatalf("variant %d: status = %v, want DiskHit (memory miss, disk hit)", i, status)
 		}
 		if got := prog.Kernels(); len(got) != 1 || got[0] != "vadd" {
 			t.Fatalf("decoded kernels = %v", got)

@@ -277,37 +277,6 @@ func (l Limits) ClampOutput(out string) (string, bool) {
 	return out[:l.MaxOutputBytes] + "\n[output truncated]", true
 }
 
-// RateLimiter enforces the per-user submission interval.
-type RateLimiter struct {
-	interval time.Duration
-	mu       sync.Mutex
-	last     map[string]time.Time
-	clock    func() time.Time
-}
-
-// NewRateLimiter creates a limiter with the given minimum interval.
-func NewRateLimiter(interval time.Duration) *RateLimiter {
-	return &RateLimiter{interval: interval, last: map[string]time.Time{}, clock: time.Now}
-}
-
-// SetClock overrides the time source (tests).
-func (r *RateLimiter) SetClock(clock func() time.Time) { r.clock = clock }
-
-// Admit records a submission attempt by user; it returns ErrRateLimited
-// (with the remaining wait) if the user submitted too recently.
-func (r *RateLimiter) Admit(user string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	now := r.clock()
-	if last, ok := r.last[user]; ok {
-		if wait := r.interval - now.Sub(last); wait > 0 {
-			return fmt.Errorf("%w: retry in %v", ErrRateLimited, wait.Round(time.Second))
-		}
-	}
-	r.last[user] = now
-	return nil
-}
-
 // ---- Per-job workspaces -----------------------------------------------------------
 
 // Workspace models the unique temporary directory each compilation runs

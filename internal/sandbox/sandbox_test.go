@@ -4,7 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestBlacklistRejectsAsm(t *testing.T) {
@@ -113,26 +112,6 @@ func TestMonitorErrnoDisposition(t *testing.T) {
 	}
 	if err := m.Call("read"); err != nil {
 		t.Fatalf("read after errno-denied call: %v", err)
-	}
-}
-
-func TestRateLimiter(t *testing.T) {
-	rl := NewRateLimiter(10 * time.Second)
-	now := time.Unix(1000, 0)
-	rl.SetClock(func() time.Time { return now })
-	if err := rl.Admit("alice"); err != nil {
-		t.Fatalf("first submit: %v", err)
-	}
-	if err := rl.Admit("alice"); !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("immediate resubmit: %v", err)
-	}
-	// A different user is unaffected.
-	if err := rl.Admit("bob"); err != nil {
-		t.Fatalf("other user: %v", err)
-	}
-	now = now.Add(11 * time.Second)
-	if err := rl.Admit("alice"); err != nil {
-		t.Fatalf("after interval: %v", err)
 	}
 }
 

@@ -16,6 +16,8 @@ import (
 	"encoding/hex"
 	"sync"
 	"time"
+
+	"webgpu/internal/metrics"
 )
 
 // Span is one named, timed stage of a job's lifecycle.
@@ -62,21 +64,25 @@ func (t *Trace) ID() string {
 	return t.id
 }
 
-// Active is an open span; call End (or EndAttrs) to record it.
+// Active is an open stage; call End (or EndAttrs) to record it.
 type Active struct {
 	tr    *Trace
+	reg   *metrics.Registry
 	name  string
 	start time.Time
 	attrs map[string]string
 }
 
-// StartSpan opens a named span. Optional kv pairs become attributes.
-func (t *Trace) StartSpan(name string, kv ...string) *Active {
-	if t == nil {
-		return nil
+// Start opens the stage name with one clock reading. Its End records
+// the stage as a span on tr and observes the same duration into reg's
+// stage_<name>_ms histogram; either may be nil, so untraced jobs still
+// feed the histogram and unmetered tiers still record the span. Optional
+// kv pairs become span attributes.
+func Start(tr *Trace, reg *metrics.Registry, name string, kv ...string) *Active {
+	a := &Active{tr: tr, reg: reg, name: name, start: time.Now()}
+	if tr != nil { // skip building the attr map on untraced jobs
+		a.setAttrs(kv)
 	}
-	a := &Active{tr: t, name: name, start: time.Now()}
-	a.setAttrs(kv)
 	return a
 }
 
@@ -101,21 +107,29 @@ func (a *Active) SetAttr(k, v string) *Active {
 	return a
 }
 
-// End closes the span and records it on the trace.
-func (a *Active) End() {
+// End closes the stage, records it, and returns its duration (0 on a
+// nil Active).
+func (a *Active) End() time.Duration {
 	if a == nil {
-		return
+		return 0
 	}
-	a.tr.Add(Span{Name: a.name, Start: a.start, Dur: time.Since(a.start), Attrs: a.attrs})
+	d := time.Since(a.start)
+	a.tr.Add(Span{Name: a.name, Start: a.start, Dur: d, Attrs: a.attrs})
+	if a.reg != nil {
+		a.reg.ObserveDuration("stage_"+a.name+"_ms", d)
+	}
+	return d
 }
 
-// EndAttrs closes the span with final kv attribute pairs.
-func (a *Active) EndAttrs(kv ...string) {
+// EndAttrs closes the stage with final kv attribute pairs.
+func (a *Active) EndAttrs(kv ...string) time.Duration {
 	if a == nil {
-		return
+		return 0
 	}
-	a.setAttrs(kv)
-	a.End()
+	if a.tr != nil {
+		a.setAttrs(kv)
+	}
+	return a.End()
 }
 
 // Add records an already-closed span (used to merge spans a remote

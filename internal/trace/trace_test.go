@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"webgpu/internal/metrics"
 )
 
 func TestNilSafety(t *testing.T) {
@@ -12,7 +14,7 @@ func TestNilSafety(t *testing.T) {
 	if tr.ID() != "" {
 		t.Errorf("nil trace ID = %q", tr.ID())
 	}
-	sp := tr.StartSpan("x", "k", "v")
+	sp := Start(tr, nil, "x", "k", "v")
 	sp.SetAttr("a", "b")
 	sp.End()
 	sp.EndAttrs("c", "d")
@@ -34,11 +36,11 @@ func TestNilSafety(t *testing.T) {
 
 func TestSpanRecording(t *testing.T) {
 	tr := New("tr-1")
-	sp := tr.StartSpan("compile", "cache", "miss")
+	sp := Start(tr, nil, "compile", "cache", "miss")
 	time.Sleep(time.Millisecond)
 	sp.SetAttr("image", "cuda")
 	sp.End()
-	tr.StartSpan("grade").EndAttrs("correct", "true")
+	Start(tr, nil, "grade").EndAttrs("correct", "true")
 	tr.AddAll([]Span{{Name: "exec", Dur: 5 * time.Millisecond}})
 	tr.Finish()
 
@@ -59,6 +61,38 @@ func TestSpanRecording(t *testing.T) {
 	if !d.Finished || d.ID != "tr-1" || len(d.Spans) != 3 || d.Dur <= 0 {
 		t.Errorf("snapshot = %+v", d)
 	}
+}
+
+// TestStartTimesOnce: one End feeds the span and the stage histogram
+// the same duration, and either sink may be absent.
+func TestStartTimesOnce(t *testing.T) {
+	tr, reg := New("tr-1"), metrics.NewRegistry()
+	sp := Start(tr, reg, "compile", "cache", "miss")
+	time.Sleep(time.Millisecond)
+	d := sp.EndAttrs("ok", "true")
+	spans := tr.Spans()
+	if len(spans) != 1 || spans[0].Name != "compile" || spans[0].Dur != d || d <= 0 {
+		t.Fatalf("End = %v, spans = %+v", d, spans)
+	}
+	if spans[0].Attrs["cache"] != "miss" || spans[0].Attrs["ok"] != "true" {
+		t.Errorf("attrs = %v", spans[0].Attrs)
+	}
+	h := reg.Hist("stage_compile_ms")
+	if h == nil || h.Count() != 1 || h.Sum() != float64(d)/float64(time.Millisecond) {
+		t.Fatalf("stage_compile_ms does not hold the span's %v", d)
+	}
+
+	// A nil trace still observes.
+	if d := Start(nil, reg, "exec").End(); d <= 0 || reg.Hist("stage_exec_ms") == nil {
+		t.Errorf("untraced stage: End = %v, no stage_exec_ms sample", d)
+	}
+	// A nil registry still records the span.
+	tr2 := New("tr-2")
+	if d := Start(tr2, nil, "grade").End(); len(tr2.Spans()) != 1 || tr2.Spans()[0].Dur != d {
+		t.Errorf("unmetered stage: End = %v, spans = %+v", d, tr2.Spans())
+	}
+	// Both nil records nothing.
+	Start(nil, nil, "scan", "k", "v").EndAttrs("rejected", "false")
 }
 
 func TestStoreRingEviction(t *testing.T) {
@@ -107,7 +141,7 @@ func TestConcurrentUse(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				tr.StartSpan(fmt.Sprintf("s%d-%d", g, i)).End()
+				Start(tr, nil, fmt.Sprintf("s%d-%d", g, i)).End()
 				st.NewTrace()
 				st.Recent(4)
 				_ = tr.Snapshot()

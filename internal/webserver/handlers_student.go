@@ -304,7 +304,7 @@ func (s *Server) runJob(ctx context.Context, u *User, l *labs.Lab, source string
 		TraceID:        tr.ID(),
 		AnalysisPolicy: s.AnalysisPolicy(l.ID),
 	}
-	sp := tr.StartSpan("dispatch", "job", job.ID, "lab", l.ID)
+	sp := trace.Start(tr, s.metrics, "dispatch", "job", job.ID, "lab", l.ID)
 	res, err := s.dispatch.Dispatch(ctx, job)
 	sp.End()
 	s.metrics.Inc("web_jobs_dispatched", 1)
@@ -456,12 +456,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, u *User) {
 		return
 	}
 	// Submission rate limiting (§III-C).
-	if err := s.limiter.Admit(u.ID); err != nil {
-		if errors.Is(err, sandbox.ErrRateLimited) {
-			writeErr(w, http.StatusTooManyRequests, ErrCodeRateLimited, "%v", err)
-			return
-		}
-		writeErr(w, http.StatusInternalServerError, ErrCodeInternal, "%v", err)
+	if wait, ok := s.submits.Take(u.ID, s.clock()); !ok {
+		writeErr(w, http.StatusTooManyRequests, ErrCodeRateLimited,
+			"%v: retry in %v", sandbox.ErrRateLimited, wait.Round(time.Second))
 		return
 	}
 	ctx, tr := s.startTrace(w, r)
@@ -491,7 +488,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, u *User) {
 		return nil
 	})
 
-	gradeSpan := tr.StartSpan("grade")
+	gradeSpan := trace.Start(tr, s.metrics, "grade")
 	g := grader.Score(l, source, res.Outcomes, answered)
 	grader.AttachDiagnostics(g, res.Diagnostics)
 	gradeSpan.EndAttrs("total", strconv.Itoa(g.Total), "max", strconv.Itoa(g.Max))

@@ -114,7 +114,7 @@ type Server struct {
 	gradebook    grader.Gradebook
 	reviews      *peerreview.Store
 	course       labs.Course
-	limiter      *sandbox.RateLimiter
+	submits      *overload.Buckets // §III-C per-user submission interval
 	clock        func() time.Time
 	mux          *http.ServeMux
 	nextID       atomic.Int64
@@ -182,7 +182,7 @@ func New(cfg Config) *Server {
 		gradebook:    cfg.Gradebook,
 		reviews:      cfg.Reviews,
 		course:       cfg.Course,
-		limiter:      sandbox.NewRateLimiter(cfg.Limits.SubmitInterval),
+		submits:      overload.NewBuckets(1, cfg.Limits.SubmitInterval),
 		clock:        cfg.Clock,
 		deadlines:    map[string]time.Time{},
 		policies:     map[string]string{},
@@ -198,7 +198,6 @@ func New(cfg Config) *Server {
 	// Live sessions are a backpressure signal: a wall of open draft loops
 	// raises pressure, which sheds reads first, then drafts themselves.
 	s.overload.SetDraftLoad(s.devsessions.Active)
-	s.limiter.SetClock(cfg.Clock)
 	s.db.CreateIndex("users", "email")
 	s.routes()
 	return s
@@ -237,12 +236,6 @@ func (s *Server) AnalysisPolicy(labID string) string {
 		return p
 	}
 	return worker.AnalysisWarn
-}
-
-// SetClock replaces the server's time source (tests).
-func (s *Server) SetClock(clock func() time.Time) {
-	s.clock = clock
-	s.limiter.SetClock(clock)
 }
 
 // Handler returns the root HTTP handler.

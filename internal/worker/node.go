@@ -212,28 +212,24 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 		}
 	}
 
-	enqueued := time.Now()
-	adm := tr.StartSpan("admission", "worker", n.ID)
+	adm := trace.Start(tr, n.metrics, "admission", "worker", n.ID)
 	if done := ctx.Done(); done == nil {
 		n.sem <- struct{}{} // uncancellable ctx: skip the select fast path
 	} else {
 		select {
 		case n.sem <- struct{}{}:
 		case <-done:
-			res.QueueWait = time.Since(enqueued)
+			res.QueueWait = adm.EndAttrs("canceled", "true")
 			res.Canceled = true
 			res.Error = "worker: " + ctx.Err().Error()
 			res.CompletedAt = time.Now()
-			adm.EndAttrs("canceled", "true")
 			n.metrics.Inc("jobs_canceled", 1)
 			exportSpans()
 			return res
 		}
 	}
 	defer func() { <-n.sem }()
-	res.QueueWait = time.Since(enqueued)
-	adm.End()
-	n.metrics.ObserveDuration("stage_admission_ms", res.QueueWait)
+	res.QueueWait = adm.End()
 
 	cur := n.inflight.Add(1)
 	defer n.inflight.Add(-1)
@@ -250,7 +246,6 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 		res.CompletedAt = time.Now()
 		n.metrics.Inc("jobs_total", 1)
 		n.metrics.ObserveDuration("job_exec_ms", res.ExecDuration)
-		n.metrics.ObserveDuration("job_queue_wait_ms", res.QueueWait)
 		exportSpans()
 	}()
 
@@ -262,11 +257,9 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 	}
 
 	// Compile-time blacklist (§III-D).
-	scan := tr.StartSpan("scan")
+	scan := trace.Start(tr, n.metrics, "scan")
 	err := n.scanner.Check(job.Source)
-	if scan != nil {
-		scan.EndAttrs("rejected", strconv.FormatBool(err != nil))
-	}
+	scan.EndAttrs("rejected", strconv.FormatBool(err != nil))
 	if err != nil {
 		res.Rejected = true
 		res.Error = err.Error()
@@ -326,25 +319,17 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 
 	// Compile exactly once per job through the content-addressed program
 	// cache — identical sources across jobs compile once per process.
-	compileStart := time.Now()
+	comp := trace.Start(tr, n.metrics, "compile")
 	prog, status, cerr := n.compileSubmission(ctx, job.Source, lab.Dialect)
-	compileWall := time.Since(compileStart)
-	cacheAttr := "miss"
+	compileWall := comp.EndAttrs("cache", status.String(), "ok", strconv.FormatBool(cerr == nil))
 	switch status {
 	case progcache.Hit:
-		cacheAttr = "hit"
 		n.metrics.Inc("progcache_hits", 1)
 	case progcache.Coalesced:
-		cacheAttr = "coalesced"
 		n.metrics.Inc("progcache_coalesced", 1)
-	default:
+	default: // a disk decode is still a memory miss
 		n.metrics.Inc("progcache_misses", 1)
 	}
-	if tr != nil { // skip building the attr map on untraced jobs
-		tr.Add(trace.Span{Name: "compile", Start: compileStart, Dur: compileWall,
-			Attrs: map[string]string{"cache": cacheAttr, "ok": strconv.FormatBool(cerr == nil)}})
-	}
-	n.metrics.ObserveDuration("stage_compile_ms", compileWall)
 
 	// Static kernel analysis (kernelcheck). Diagnostics are a derived
 	// artifact cached on the program-cache entry, so repeat submissions
@@ -355,31 +340,21 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 	// critical path (both only read the compiled program).
 	joinAnalysis := func() {}
 	if cerr == nil && job.AnalysisPolicy != AnalysisOff {
-		kcStart := time.Now()
-		var diags []kernelcheck.Diagnostic
-		var aerr error
-		var kcWall time.Duration
-		finish := func() {
-			n.metrics.ObserveDuration("stage_kernelcheck_ms", kcWall)
-			if aerr == nil {
+		kc := trace.Start(tr, n.metrics, "kernelcheck")
+		analyze := func() time.Duration {
+			if diags, aerr := n.progs.Diagnostics(job.Source, lab.Dialect); aerr == nil {
 				res.Diagnostics = diags
 				for _, dg := range diags {
 					n.metrics.Inc(kernelcheck.MetricName(dg.ID), 1)
 				}
 			}
-			if tr != nil {
-				tr.Add(trace.Span{Name: "kernelcheck", Start: kcStart, Dur: kcWall,
-					Attrs: map[string]string{
-						"findings": strconv.Itoa(len(res.Diagnostics)),
-						"errors":   strconv.Itoa(kernelcheck.ErrorCount(res.Diagnostics)),
-						"policy":   analysisPolicyName(job.AnalysisPolicy),
-					}})
-			}
+			return kc.EndAttrs(
+				"findings", strconv.Itoa(len(res.Diagnostics)),
+				"errors", strconv.Itoa(kernelcheck.ErrorCount(res.Diagnostics)),
+				"policy", analysisPolicyName(job.AnalysisPolicy))
 		}
 		if job.AnalysisPolicy == AnalysisFailFast {
-			diags, aerr = n.progs.Diagnostics(job.Source, lab.Dialect)
-			kcWall = time.Since(kcStart)
-			finish()
+			kcWall := analyze()
 			if kernelcheck.ErrorCount(res.Diagnostics) > 0 {
 				res.AnalysisBlocked = true
 				res.Outcomes = analysisBlockedOutcomes(lab, job.DatasetID, res.Diagnostics, kcWall)
@@ -388,16 +363,13 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 				return res
 			}
 		} else {
+			// The goroutine owns res.Diagnostics until joinAnalysis.
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				diags, aerr = n.progs.Diagnostics(job.Source, lab.Dialect)
-				kcWall = time.Since(kcStart)
+				analyze()
 			}()
-			joinAnalysis = func() {
-				<-done
-				finish()
-			}
+			joinAnalysis = func() { <-done }
 		}
 	}
 
@@ -410,7 +382,8 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 		return res
 	}
 
-	execStart := time.Now()
+	execStart := time.Now() // stamps the per-dataset spans below
+	exec := trace.Start(nil, n.metrics, "exec")
 	switch {
 	case cerr != nil:
 		res.Outcomes = compileErrorOutcomes(lab, job.DatasetID, cerr, compileWall)
@@ -422,7 +395,7 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 	default:
 		res.Outcomes = []*labs.Outcome{labs.RunCompiled(ctx, lab, prog, job.DatasetID, ctr.Devices, maxSteps)}
 	}
-	n.metrics.ObserveDuration("stage_exec_ms", time.Since(execStart))
+	exec.End()
 	joinAnalysis()
 	for _, o := range res.Outcomes {
 		clamped, truncated := n.limits.ClampOutput(o.Trace)
@@ -524,41 +497,35 @@ func analysisBlockedOutcomes(lab *labs.Lab, datasetID int, diags []kernelcheck.D
 	}
 	msg := fmt.Sprintf("kernelcheck: execution blocked by the fail-fast analysis policy (%d provable error(s)):\n%s",
 		len(sb), strings.Join(sb, "\n"))
-	mk := func(id int) *labs.Outcome {
-		return &labs.Outcome{LabID: lab.ID, DatasetID: id, Compiled: true,
-			RuntimeError: msg, WallTime: wall}
-	}
-	if datasetID == DatasetAll {
-		outs := make([]*labs.Outcome, lab.NumDatasets)
-		for i := range outs {
-			outs[i] = mk(i)
-		}
-		return outs
-	}
-	if datasetID == DatasetCompileOnly {
-		return []*labs.Outcome{mk(-1)}
-	}
-	return []*labs.Outcome{mk(datasetID)}
+	return perDataset(lab, datasetID, labs.Outcome{Compiled: true, RuntimeError: msg, WallTime: wall})
 }
 
 // compileErrorOutcomes reports a compile failure in the same per-dataset
 // shape a successful grading run produces.
 func compileErrorOutcomes(lab *labs.Lab, datasetID int, cerr error, wall time.Duration) []*labs.Outcome {
-	mk := func(id int) *labs.Outcome {
-		return &labs.Outcome{LabID: lab.ID, DatasetID: id,
-			CompileError: cerr.Error(), WallTime: wall}
-	}
-	if datasetID == DatasetAll {
-		outs := make([]*labs.Outcome, lab.NumDatasets)
-		for i := range outs {
-			outs[i] = mk(i)
+	return perDataset(lab, datasetID, labs.Outcome{CompileError: cerr.Error(), WallTime: wall})
+}
+
+// perDataset returns one copy of tmpl for each dataset the job asked
+// for: every dataset, the compile-only pseudo-dataset -1, or the one.
+func perDataset(lab *labs.Lab, datasetID int, tmpl labs.Outcome) []*labs.Outcome {
+	ids := []int{datasetID}
+	switch datasetID {
+	case DatasetAll:
+		ids = make([]int, lab.NumDatasets)
+		for i := range ids {
+			ids[i] = i
 		}
-		return outs
+	case DatasetCompileOnly:
+		ids = []int{-1}
 	}
-	if datasetID == DatasetCompileOnly {
-		return []*labs.Outcome{mk(-1)}
+	outs := make([]*labs.Outcome, len(ids))
+	for i, id := range ids {
+		o := tmpl
+		o.LabID, o.DatasetID = lab.ID, id
+		outs[i] = &o
 	}
-	return []*labs.Outcome{mk(datasetID)}
+	return outs
 }
 
 // CanServe reports whether the node satisfies every requirement of a job.

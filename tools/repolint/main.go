@@ -8,6 +8,11 @@
 //     that IS the seam; calling it directly bypasses the seam and makes
 //     rate limits, eviction, and benchmark trajectories untestable.
 //
+//   - One timer per stage: outside internal/trace, no Observe or
+//     ObserveDuration call may name a "stage_" histogram. Stage
+//     histograms are fed only by trace.Start's End, from the same clock
+//     reading as the stage's span, so the two cannot disagree.
+//
 //   - Hot paths: files marked //kernelcheck:hotpath (the analyzer's
 //     per-expression core) must not call fmt.Sprintf or import regexp;
 //     both allocate or backtrack in code that runs per AST node per
@@ -39,6 +44,9 @@ var clockPkgs = []string{
 	"internal/devsession",
 	"internal/macrobench",
 }
+
+// stagePkg is the one package allowed to observe stage_* histograms.
+const stagePkg = "internal/trace"
 
 const hotpathMarker = "//kernelcheck:hotpath"
 
@@ -106,6 +114,9 @@ func lintFile(fset *token.FileSet, f *ast.File, path string) []finding {
 	if inClockPkg(slash) {
 		out = append(out, checkClockCalls(fset, f)...)
 	}
+	if !inPkg(slash, stagePkg) {
+		out = append(out, checkStageObserve(fset, f)...)
+	}
 	if isHotpath(f) {
 		out = append(out, checkHotpath(fset, f)...)
 	}
@@ -114,11 +125,65 @@ func lintFile(fset *token.FileSet, f *ast.File, path string) []finding {
 
 func inClockPkg(slash string) bool {
 	for _, pkg := range clockPkgs {
-		if strings.Contains(slash, pkg+"/") || strings.HasSuffix(filepath.Dir(slash), pkg) {
+		if inPkg(slash, pkg) {
 			return true
 		}
 	}
 	return false
+}
+
+func inPkg(slash, pkg string) bool {
+	return strings.Contains(slash, pkg+"/") || strings.HasSuffix(filepath.Dir(slash), pkg)
+}
+
+// checkStageObserve flags Observe/ObserveDuration calls whose name
+// argument is a string literal (or a concatenation led by one) starting
+// with "stage_": a second timer for a stage trace.Start already times.
+func checkStageObserve(fset *token.FileSet, f *ast.File) []finding {
+	var out []finding
+	selectorCalls(f, func(call *ast.CallExpr, sel *ast.SelectorExpr) {
+		if (sel.Sel.Name != "Observe" && sel.Sel.Name != "ObserveDuration") || len(call.Args) == 0 {
+			return
+		}
+		arg := call.Args[0]
+		for {
+			bin, ok := arg.(*ast.BinaryExpr)
+			if !ok || bin.Op != token.ADD {
+				break
+			}
+			arg = bin.X
+		}
+		lit, ok := arg.(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			return
+		}
+		if name, err := strconv.Unquote(lit.Value); err == nil && strings.HasPrefix(name, "stage_") {
+			out = append(out, finding{
+				pos: fset.Position(call.Pos()),
+				msg: fmt.Sprintf("%s(%q) outside %s; time the stage with trace.Start so its span and histogram share one clock reading", sel.Sel.Name, name, stagePkg),
+			})
+		}
+	})
+	return out
+}
+
+// selectorCalls calls fn for every call of the form X.Name(...) in f.
+func selectorCalls(f *ast.File, fn func(call *ast.CallExpr, sel *ast.SelectorExpr)) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+				fn(call, sel)
+			}
+		}
+		return true
+	})
+}
+
+// pkgSelector reports whether sel is pkg.Name for a package the file
+// imports as pkg (and not a local variable shadowing it).
+func pkgSelector(sel *ast.SelectorExpr, pkg string) bool {
+	id, ok := sel.X.(*ast.Ident)
+	return ok && id.Name == pkg && id.Obj == nil
 }
 
 // importName returns the identifier a file refers to importPath by, or
@@ -149,26 +214,13 @@ func checkClockCalls(fset *token.FileSet, f *ast.File) []finding {
 		return nil
 	}
 	var out []finding
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok || id.Name != timeName || id.Obj != nil {
-			return true
-		}
-		if sel.Sel.Name == "Now" || sel.Sel.Name == "Since" {
+	selectorCalls(f, func(call *ast.CallExpr, sel *ast.SelectorExpr) {
+		if pkgSelector(sel, timeName) && (sel.Sel.Name == "Now" || sel.Sel.Name == "Since") {
 			out = append(out, finding{
 				pos: fset.Position(call.Pos()),
 				msg: fmt.Sprintf("direct time.%s call in a deterministic-clock package; route it through the package's clock seam", sel.Sel.Name),
 			})
 		}
-		return true
 	})
 	return out
 }
@@ -200,26 +252,13 @@ func checkHotpath(fset *token.FileSet, f *ast.File) []finding {
 	if fmtName == "" {
 		return out
 	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok || id.Name != fmtName || id.Obj != nil {
-			return true
-		}
-		if sel.Sel.Name == "Sprintf" {
+	selectorCalls(f, func(call *ast.CallExpr, sel *ast.SelectorExpr) {
+		if pkgSelector(sel, fmtName) && sel.Sel.Name == "Sprintf" {
 			out = append(out, finding{
 				pos: fset.Position(call.Pos()),
 				msg: "fmt.Sprintf call in a //kernelcheck:hotpath file; build the string with strconv/Builder",
 			})
 		}
-		return true
 	})
 	return out
 }

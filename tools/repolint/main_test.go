@@ -103,6 +103,42 @@ var t0 = time.Now()
 	}
 }
 
+func TestStageObserveFlaggedOutsideTrace(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"internal/worker/bad.go": `package worker
+
+import "time"
+
+type reg interface {
+	Observe(string, float64)
+	ObserveDuration(string, time.Duration)
+}
+
+func f(r reg, d time.Duration, name string) {
+	r.ObserveDuration("stage_compile_ms", d)
+	r.Observe("stage_"+name+"_ms", 1)
+	r.ObserveDuration("job_exec_ms", d)
+	r.ObserveDuration(name, d)
+}
+`,
+		"internal/trace/ok.go": `package trace
+
+import "time"
+
+type reg interface{ ObserveDuration(string, time.Duration) }
+
+func end(r reg, name string, d time.Duration) { r.ObserveDuration("stage_"+name+"_ms", d) }
+`,
+	})
+	code, out := runLint(t, root)
+	if code != 1 {
+		t.Fatalf("exit = %d, want 1\n%s", code, out)
+	}
+	if n := strings.Count(out, "trace.Start"); n != 2 || !strings.Contains(out, "bad.go") || strings.Contains(out, "ok.go") {
+		t.Fatalf("want 2 stage findings in bad.go only, got %d:\n%s", n, out)
+	}
+}
+
 func TestHotpathSprintfAndRegexpFlagged(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"internal/kernelcheck/hot.go": `//kernelcheck:hotpath
